@@ -100,6 +100,11 @@ class VersionStoreHTTPServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], service: VersionStoreService) -> None:
         super().__init__(address, _Handler)
         self.service = service
+        # Open client connections, so server_close() can end idle
+        # keep-alive sessions instead of leaving their handler threads
+        # blocked on a socket nobody will ever write to again.
+        self._open_connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
         # Transport-level instruments, shared by every per-request handler.
         # Endpoint labels are the first path segment only (never a version
         # id), so the label cardinality is bounded by the route table.
@@ -107,7 +112,9 @@ class VersionStoreHTTPServer(ThreadingHTTPServer):
         self.metrics_on = bool(getattr(registry, "enabled", False))
         self.http_seconds = registry.histogram(
             "repro_http_request_seconds",
-            "HTTP request latency by endpoint (transport-inclusive).",
+            "HTTP handler time by endpoint: request parsed to response "
+            "handed to the kernel (excludes connection setup and the "
+            "socket drain to the client).",
             ("endpoint",),
         )
         self.http_requests = registry.counter(
@@ -115,6 +122,31 @@ class VersionStoreHTTPServer(ThreadingHTTPServer):
             "HTTP requests served, by endpoint and status code.",
             ("endpoint", "code"),
         )
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._connections_lock:
+            self._open_connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._connections_lock:
+            self._open_connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening and end every open client connection.
+
+        Clients see the close exactly as they would a process exit, so a
+        keep-alive client reconnects to whatever serves the port next.
+        """
+        super().server_close()
+        with self._connections_lock:
+            connections = list(self._open_connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     @property
     def url(self) -> str:
@@ -150,6 +182,9 @@ class _Handler(BaseHTTPRequestHandler):
     # which owns all locking; handler instances hold no state of their own.
     server: VersionStoreHTTPServer
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: every response already leaves in one write (see
+    # _send), so there are no small segments for Nagle to coalesce.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------- #
     @property
@@ -159,6 +194,18 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # request logging is the operator's job (use --log-json instead)
 
+    def finish(self) -> None:
+        # The server runs every TCP connection on a thread of its own, and
+        # the catalog opens one sqlite connection per thread: close this
+        # thread's when its connection ends, or every client connection
+        # would leak a database handle for the life of the process.
+        try:
+            super().finish()
+        finally:
+            catalog = getattr(self.service.repository, "catalog", None)
+            if catalog is not None:
+                catalog.release_thread_connection()
+
     #: Status of the last response sent, recorded for metrics and the log
     #: sink (0 until a response goes out).
     _last_status = 0
@@ -167,41 +214,43 @@ class _Handler(BaseHTTPRequestHandler):
         self._last_status = code
         super().send_response(code, message)
 
+    def _send(
+        self,
+        status: int,
+        data: bytes = b"",
+        content_type: str | None = None,
+        extra_headers: dict[str, str] | None = None,
+    ) -> None:
+        """Send one complete response in a single socket write.
+
+        Status line, headers and body leave together: a response split
+        into a header send and a body send stalls on a keep-alive
+        connection until the client's delayed ACK releases the second
+        segment (Nagle's algorithm, ~40 ms per request).
+        """
+        self.send_response(status)
+        if content_type is not None:
+            self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(data)))
+        if extra_headers:
+            for name, value in extra_headers.items():
+                self.send_header(name, value)
+        self._headers_buffer.append(b"\r\n")
+        self._headers_buffer.append(data)
+        self.flush_headers()
+
     def _send_json(
         self,
         status: int,
         body: dict[str, Any],
         extra_headers: dict[str, str] | None = None,
     ) -> None:
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        if extra_headers:
-            for name, value in extra_headers.items():
-                self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        data = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _send_bytes(self, status: int, data: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _send_empty(self, status: int = 204) -> None:
-        self.send_response(status)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
+        self._send(
+            status,
+            json.dumps(body).encode("utf-8"),
+            "application/json",
+            extra_headers,
+        )
 
     def _read_body(self) -> bytes:
         length = int(self.headers.get("Content-Length") or 0)
@@ -250,7 +299,7 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             if not handled:
                 if method == "HEAD":  # HEAD responses must carry no body
-                    self._send_empty(404)
+                    self._send(404)
                 else:
                     self._send_json(404, {"error": f"no route for {method} {parsed.path}"})
         finally:
@@ -302,9 +351,9 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(200, {"status": "ok"})
                 return True
             if parts == ["metrics"]:
-                self._send_text(
+                self._send(
                     200,
-                    self.service.metrics.render_prometheus(),
+                    self.service.metrics.render_prometheus().encode("utf-8"),
                     "text/plain; version=0.0.4; charset=utf-8",
                 )
                 return True
@@ -469,8 +518,10 @@ class _Handler(BaseHTTPRequestHandler):
                         base_id = getattr(value, "base_id", None)
                         if base_id is not None and base_id not in found:
                             pending.append(base_id)
-            self._send_bytes(
-                200, pickle.dumps(found, protocol=pickle.HIGHEST_PROTOCOL)
+            self._send(
+                200,
+                pickle.dumps(found, protocol=pickle.HIGHEST_PROTOCOL),
+                "application/octet-stream",
             )
             return True
         if len(parts) != 2:
@@ -481,18 +532,22 @@ class _Handler(BaseHTTPRequestHandler):
             # downloading the object payload.
             with coordinator.shared():
                 present = key in backend
-            self._send_empty(200 if present else 404)
+            self._send(200 if present else 404)
             return True
         if method == "GET":
             with coordinator.shared():
                 value = backend.get(key)  # KeyError -> 404 via _dispatch
-            self._send_bytes(200, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+            self._send(
+                200,
+                pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
+                "application/octet-stream",
+            )
             return True
         if method == "PUT":
             value = pickle.loads(self._read_body())
             with coordinator.exclusive():
                 backend.put(key, value)
-            self._send_empty()
+            self._send(204)
             return True
         if method == "DELETE":
             with coordinator.exclusive():
@@ -500,7 +555,7 @@ class _Handler(BaseHTTPRequestHandler):
                 # must drop the object's entries or chain resolution would
                 # keep routing through the dead id without probing disk.
                 self.service.repository.store.remove(key)
-            self._send_empty()
+            self._send(204)
             return True
         return False
 

@@ -12,18 +12,29 @@ Two ways to consume a running :mod:`repro.server.httpd` server:
   (commit / checkout / checkout_many / stats / plan), used by the
   remote-aware CLI and handy in tests.
 
-Both are pure standard library (``urllib.request``).
+Both are pure standard library and share one transport: a small pool
+of keep-alive ``http.client`` connections per server (see
+:class:`_ConnectionPool`), so a client pays the TCP handshake once rather
+than on every call.  Failures keep the ``urllib.error`` shapes
+(``HTTPError`` for a status >= 400, ``URLError`` for transport faults)
+that the clients translate into ``KeyError`` / :class:`RemoteServiceError`.
 """
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
+import os
 import pickle
 import random
+import select
+import threading
 import time
+import weakref
 from typing import Any, Callable, Iterator, Sequence
 from urllib import error as urlerror
-from urllib import request as urlrequest
+from urllib.parse import urlsplit
 
 from ..exceptions import RepositoryError
 from ..storage.backends import BackendSpecError, StorageBackend, register_backend
@@ -55,6 +66,97 @@ class RemoteServiceError(RepositoryError):
         self.status = status
 
 
+#: Idle connections kept per server; a burst beyond this many concurrent
+#: callers opens extra connections that are closed when they come back.
+_MAX_IDLE = 16
+
+
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    """Close pooled connections (module-level: the finalizer hook)."""
+    while connections:
+        connections.pop().close()
+
+
+def _peer_closed(conn: http.client.HTTPConnection) -> bool:
+    """Zero-timeout readability probe of an idle keep-alive connection.
+
+    Between exchanges a healthy connection has nothing to read; it turns
+    readable only when the server closed it (EOF) or broke the protocol,
+    so a readable idle socket must not carry the next request.
+    """
+    sock = conn.sock
+    if sock is None:
+        return True
+    try:
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    except (OSError, ValueError):
+        return True
+
+
+class _ConnectionPool:
+    """Idle keep-alive connections to one server (``scheme``, ``netloc``).
+
+    A connection is owned by exactly one in-flight exchange: :meth:`acquire`
+    hands out an idle connection (or a new one) and :meth:`release` takes
+    it back once its response was read to the end.  Idle connections the
+    server has closed meanwhile are detected and replaced *before* a
+    request is written to them.
+    """
+
+    def __init__(self, scheme: str, netloc: str) -> None:
+        self._factory = (
+            http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+        )
+        self.netloc = netloc
+        self.pid = os.getpid()
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._idle)
+
+    def acquire(self, timeout: float) -> http.client.HTTPConnection:
+        while True:
+            with self._lock:
+                conn = self._idle.pop() if self._idle else None
+            if conn is None:
+                return self._factory(self.netloc, timeout=timeout)
+            if not _peer_closed(conn):
+                conn.timeout = timeout
+                conn.sock.settimeout(timeout)
+                return conn
+            conn.close()
+
+    def release(self, conn: http.client.HTTPConnection) -> None:
+        with self._lock:
+            if len(self._idle) < _MAX_IDLE:
+                self._idle.append(conn)
+                return
+        conn.close()
+
+
+_POOLS: "weakref.WeakValueDictionary[tuple[str, str], _ConnectionPool]" = (
+    weakref.WeakValueDictionary()
+)
+_POOLS_LOCK = threading.Lock()
+
+
+def _pool_for(url: str) -> _ConnectionPool:
+    """The process-wide pool for ``url``'s server.
+
+    Clients keep a strong reference to their pool; once the last client
+    of a server is gone its idle connections are closed.  A forked child
+    never reuses its parent's sockets: pools are per process.
+    """
+    parts = urlsplit(url)
+    key = (parts.scheme, parts.netloc)
+    with _POOLS_LOCK:
+        pool = _POOLS.get(key)
+        if pool is None or pool.pid != os.getpid():
+            pool = _POOLS[key] = _ConnectionPool(*key)
+        return pool
+
+
 def _http(
     method: str,
     url: str,
@@ -63,12 +165,37 @@ def _http(
     content_type: str | None = None,
     timeout: float = 30.0,
 ) -> bytes:
-    """One HTTP exchange; raises ``urllib.error.HTTPError`` on 4xx/5xx."""
-    req = urlrequest.Request(url, data=data, method=method)
-    if content_type is not None:
-        req.add_header("Content-Type", content_type)
-    with urlrequest.urlopen(req, timeout=timeout) as response:
-        return response.read()
+    """One HTTP exchange on a pooled keep-alive connection.
+
+    Raises ``urllib.error.HTTPError`` on 4xx/5xx and ``URLError`` when the
+    exchange fails at the transport level (connect, send or receive).
+    """
+    parts = urlsplit(url)
+    target = parts.path or "/"
+    if parts.query:
+        target = f"{target}?{parts.query}"
+    headers = {"Content-Type": content_type} if content_type is not None else {}
+    pool = _pool_for(url)
+    conn = pool.acquire(timeout)
+    try:
+        conn.request(method, target, body=data, headers=headers)
+        response = conn.getresponse()
+        body = response.read()
+    except (OSError, http.client.HTTPException) as error:
+        conn.close()
+        raise urlerror.URLError(error) from error
+    if response.status >= 400:
+        # An error may leave an unread request body behind on the server
+        # side, which then drops the connection: never reuse it.
+        conn.close()
+        raise urlerror.HTTPError(
+            url, response.status, response.reason, response.headers, io.BytesIO(body)
+        )
+    if response.will_close:
+        conn.close()
+    else:
+        pool.release(conn)
+    return body
 
 
 def _http_idempotent(
@@ -131,6 +258,9 @@ class RemoteBackend(StorageBackend):
             base_url = f"http://{base_url}"
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        # Held for its lifetime: the pool (shared with every other client
+        # of this server) lives while some client does.
+        self._pool = _pool_for(self.base_url)
         #: Transport-level retries performed on idempotent reads.
         self.retries = 0
         self._m_retries: Any = None
@@ -286,6 +416,9 @@ class ServiceClient:
             base_url = f"http://{base_url}"
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        # Held for its lifetime: the pool (shared with every other client
+        # of this server) lives while some client does.
+        self._pool = _pool_for(self.base_url)
         #: Transport-level retries performed on idempotent reads.
         self.retries = 0
         self._m_retries: Any = None

@@ -292,9 +292,7 @@ class VersionStoreService:
             spill_bytes=cache_tier_bytes,
             worker_model=worker_model,
         )
-        # The *effective* model: the materializer may have fallen back to
-        # threads when the backend/encoder cannot cross a process boundary.
-        self.worker_model = self.materializer.worker_model
+        self.materializer.on_fallback = self._record_fallback
         self.stats_counters = ServiceStats()
         self._on_commit = on_commit
         # Every served checkout is folded into the workload log; with a
@@ -670,21 +668,27 @@ class VersionStoreService:
             shared_span = trace.span("shared", version=str(version_id))
             with shared_span, self.coordinator.shared():
                 object_id = self.repository.object_id_of(version_id)
-                # The stripe key is the chain's subtree stripe (the node
-                # below its deepest fork point; the root on linear chains)
-                # when the cost index can answer it with dictionary walks;
-                # on a tip the index has not seen yet, key by the tip
-                # instead of forcing a resolving fetch — the leader's
-                # materialization indexes the chain, so every later
-                # request stripes by its subtree.
-                stripe = self.repository.store.subtree_stripe_key(object_id)
                 span = shared_span.span("materialize", object=str(object_id))
                 with span:
-                    observer = span.add_lock_wait if trace.enabled else None
-                    with self.chain_locks.holding(
-                        stripe or object_id, observer=observer
-                    ):
-                        item = self.materializer.materialize(object_id)
+                    # A warm tip is served from the cache before any chain
+                    # walk: the shared section already pins the epoch, and
+                    # the cache is atomic, so a hit needs no stripe lock.
+                    item = self.materializer.cached_item(object_id)
+                    if item is None:
+                        # The stripe key is the chain's subtree stripe (the
+                        # node below its deepest fork point; the root on
+                        # linear chains) when the cost index can answer it
+                        # with dictionary walks; on a tip the index has not
+                        # seen yet, key by the tip instead of forcing a
+                        # resolving fetch — the leader's materialization
+                        # indexes the chain, so every later request stripes
+                        # by its subtree.
+                        stripe = self.repository.store.subtree_stripe_key(object_id)
+                        observer = span.add_lock_wait if trace.enabled else None
+                        with self.chain_locks.holding(
+                            stripe or object_id, observer=observer
+                        ):
+                            item = self.materializer.materialize(object_id)
                 if trace.enabled:
                     span.tag("chain_length", item.chain_length)
                     span.tag("deltas_applied", item.deltas_applied)
@@ -1035,6 +1039,19 @@ class VersionStoreService:
             return
         fields = {k: v for k, v in record.items() if k != "event"}
         self.log_sink.emit(str(record.get("event", "decision")), **fields)
+
+    @property
+    def worker_model(self) -> str:
+        """The *effective* replay model: the materializer falls back to
+        threads when the backend/encoder cannot cross a process boundary,
+        or when its process pool keeps breaking."""
+        return self.materializer.worker_model
+
+    def _record_fallback(self, record: dict[str, Any]) -> None:
+        """Fold a run-time demotion into the decision log and the sink."""
+        record = {"ts": round(time.time(), 3), **record}
+        self.decision_log.append(record)
+        self._emit_decision(record)
 
     def _record_lease_event(self, event: dict[str, Any]) -> None:
         """Fold one lease transition into the decision log, metrics, sink.

@@ -59,6 +59,7 @@ import threading
 import time
 import weakref
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Mapping, Sequence
@@ -318,6 +319,12 @@ class BatchMaterializer:
         # others become no-ops.
         self._executors: dict[str, Executor] = {}
         self._executor_lock = threading.Lock()
+        # A broken process pool (a worker died) is rebuilt once; a second
+        # break demotes the materializer to threads for good.
+        self._process_pool_rebuilds = 0
+        #: Called with a decision record when the worker model is demoted
+        #: at run time (the serving layer appends it to its decision log).
+        self.on_fallback: Callable[[dict[str, Any]], None] | None = None
         self._finalizer = weakref.finalize(
             self, _shutdown_executor_holder, self._executors
         )
@@ -548,6 +555,35 @@ class BatchMaterializer:
                 abs(predicted - actual) / max(predicted, actual, 1.0)
             )
         return item
+
+    def cached_item(self, object_id: str) -> BatchItem | None:
+        """Serve ``object_id`` straight from the warm cache, or ``None``.
+
+        The O(1) warm path: one cache probe plus the memoized chain
+        stats — no chain walk, no backend read, no stripe lock needed.
+        A hit counts exactly what :meth:`materialize` counts for a cached
+        tip (one cache hit, nothing replayed, a warm-cost error of 0); a
+        miss counts nothing, leaving the caller's :meth:`materialize` to
+        count it once.  Tips whose chain was never priced fall through too.
+        """
+        stats = self.store.cached_chain_stats(object_id)
+        if stats is None:
+            return None
+        payload = self.cache.probe(object_id)
+        if LRUPayloadCache.is_miss(payload):
+            return None
+        if self._metrics_on:
+            self._m_warm_error.observe(0.0)
+        return BatchItem(
+            key=object_id,
+            object_id=object_id,
+            payload=payload,
+            chain_length=stats.length - 1,
+            predicted_cost=stats.phi_total,
+            recreation_cost=0.0,
+            deltas_applied=0,
+            cache_hits=1,
+        )
 
     def _materialize_remote(self, object_id: str) -> BatchItem:
         """Segment-batched replay against a chain-following remote backend."""
@@ -802,6 +838,46 @@ class BatchMaterializer:
                 self._executors["process"] = executor
             return executor  # type: ignore[return-value]
 
+    def _replace_broken_pool(
+        self, executor: Executor, error: BaseException
+    ) -> bool:
+        """Drop a broken process pool; ``True`` when the task should retry.
+
+        The first break rebuilds the pool (the next submit spawns fresh
+        workers).  A break of the rebuilt pool demotes this materializer
+        to threads, records why in ``worker_model_fallback`` and reports
+        it through :attr:`on_fallback`; the caller then replays locally.
+        Concurrent callers that hit the same broken pool count one break.
+        """
+        demoted = False
+        with self._executor_lock:
+            if self._executors.get("process") is executor:
+                del self._executors["process"]
+                if self._process_pool_rebuilds == 0:
+                    self._process_pool_rebuilds += 1
+                else:
+                    self.worker_model = "thread"
+                    self.worker_model_fallback = "process_pool_broken"
+                    demoted = True
+            retry = self.worker_model == "process"
+        executor.shutdown(wait=False, cancel_futures=True)
+        if demoted:
+            log_once(
+                "batch:worker_model:broken",
+                "process replay pool broke again after a rebuild (%s); "
+                "using threads",
+                error,
+            )
+            if self.on_fallback is not None:
+                self.on_fallback(
+                    {
+                        "event": "worker_model_fallback",
+                        "reason": "process_pool_broken",
+                        "detail": str(error),
+                    }
+                )
+        return retry
+
     def _count_pool_task(self, model: str) -> None:
         with self._pool_lock:
             self._pool_tasks[model] += 1
@@ -833,21 +909,26 @@ class BatchMaterializer:
         into this store's measured-cost index, and provenance (pid, wall
         span) is recorded for stats and the concurrency tests.
         """
-        executor = self._get_process_executor()
-        with self._pool_lock:
-            self._pool_queue_depth += 1
-        try:
-            future = executor.submit(
-                replay_task,
-                self.store.backend.spec(),
-                self.encoder.name,
-                dict(chains),
-                max(0, self.cache.capacity),
-            )
-            result = future.result()
-        finally:
+        while True:
+            executor = self._get_process_executor()
             with self._pool_lock:
-                self._pool_queue_depth -= 1
+                self._pool_queue_depth += 1
+            try:
+                future = executor.submit(
+                    replay_task,
+                    self.store.backend.spec(),
+                    self.encoder.name,
+                    dict(chains),
+                    max(0, self.cache.capacity),
+                )
+                result = future.result()
+                break
+            except BrokenProcessPool as error:
+                if not self._replace_broken_pool(executor, error):
+                    raise
+            finally:
+                with self._pool_lock:
+                    self._pool_queue_depth -= 1
         self._count_pool_task("process")
         with self._pool_lock:
             self._worker_pids.add(result.pid)
@@ -894,7 +975,13 @@ class BatchMaterializer:
             else:
                 dispatch[object_id] = chain_ids
         if dispatch:
-            result = self._run_replay_task(dispatch)
+            try:
+                result = self._run_replay_task(dispatch)
+            except BrokenProcessPool:
+                # Demoted to threads: replay this group right here.
+                for object_id, chain_ids in dispatch.items():
+                    items[object_id] = self._materialize_chain(object_id, chain_ids)
+                return items
             for outcome in result.outcomes:
                 self.cache.put(outcome.object_id, outcome.payload)
                 chain_ids = dispatch[outcome.object_id]

@@ -262,6 +262,24 @@ class MetadataCatalog:
             connection.execute("ROLLBACK")
             raise
 
+    def release_thread_connection(self) -> None:
+        """Close the calling thread's connection, if it opened one.
+
+        Long-lived servers that run each client connection on a fresh
+        thread call this when the thread's work ends; the next call from
+        the same thread simply opens a new connection.
+        """
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            return
+        self._local.connection = None
+        with self._connections_lock:
+            try:
+                self._connections.remove(connection)
+            except ValueError:
+                pass  # close() already took it
+        connection.close()
+
     def close(self) -> None:
         """Close every connection this catalog opened (best effort)."""
         with self._connections_lock:

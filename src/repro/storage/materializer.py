@@ -98,9 +98,21 @@ class LRUPayloadCache:
 
     def get(self, key: str) -> Any:
         """The cached payload for ``key``, or the module-level miss sentinel."""
+        value = self.probe(key)
+        if value is _MISS:
+            with self._lock:
+                self.misses += 1
+        return value
+
+    def probe(self, key: str) -> Any:
+        """Like :meth:`get`, but a miss is not counted.
+
+        For a caller that checks for a warm entry before deciding how to
+        serve it: a hit is a hit (counted, recency refreshed), while a miss
+        leaves the counters to the lookup the slow path makes anyway.
+        """
         with self._lock:
             if self.capacity <= 0 or key not in self._entries:
-                self.misses += 1
                 return _MISS
             self._entries.move_to_end(key)
             self.hits += 1

@@ -440,6 +440,12 @@ class ObjectStore:
         reversed_chain.reverse()
         return tuple(reversed_chain)
 
+    def cached_chain_stats(self, object_id: str) -> ChainStats | None:
+        """The memoized :meth:`chain_stats` of ``object_id``, or ``None``
+        when no walk has priced it yet (never walks or reads)."""
+        with self._index_lock:
+            return self._chain_stats.get(object_id)
+
     def chain_stats(self, object_id: str) -> ChainStats:
         """Aggregate Φ/delta-count pricing of ``object_id``'s chain.
 
@@ -447,8 +453,7 @@ class ObjectStore:
         each prefix is a chain in its own right); content addressing makes
         the memo permanently valid until the object is removed.
         """
-        with self._index_lock:
-            cached = self._chain_stats.get(object_id)
+        cached = self.cached_chain_stats(object_id)
         if cached is not None:
             return cached
         ids = self.chain_ids(object_id)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from urllib import error as urlerror
 
 import pytest
@@ -175,3 +176,166 @@ class TestErrorBodyReporting:
         client = ServiceClient("http://127.0.0.1:1")
         with pytest.raises(RemoteServiceError, match=r"HTTP 500$"):
             client.checkout("v1")
+
+
+# --------------------------------------------------------------------- #
+# the pooled keep-alive transport, against live servers
+# --------------------------------------------------------------------- #
+def _lineage(versions: int = 12):
+    from repro.storage.repository import Repository
+
+    repo = Repository(cache_size=0)
+    oracle: dict = {}
+    payload = [f"row,{i}" for i in range(30)]
+    for step in range(versions):
+        if step:
+            payload = payload + [f"appended,{step}"]
+        oracle[repo.commit(payload, message=f"step {step}")] = list(payload)
+    return repo, oracle
+
+
+def _start(repo, port: int = 0):
+    from repro.server.httpd import serve_in_thread
+    from repro.server.service import VersionStoreService
+
+    service = VersionStoreService(repo, cache_size=64)
+    server, _thread = serve_in_thread(service, host="127.0.0.1", port=port)
+    return server, service
+
+
+def _stop(server, service) -> None:
+    server.shutdown()
+    server.server_close()
+    service.close()
+
+
+class TestPooledTransport:
+    def test_restarted_server_is_reached_without_retries(self):
+        """Idle pooled connections to a server that went away are replaced
+        before the next request is written — for a GET and a POST alike."""
+        repo, oracle = _lineage()
+        vids = list(oracle)
+        server, service = _start(repo)
+        port = server.server_address[1]
+        client = ServiceClient(server.url)
+        backend = RemoteBackend(server.url)
+        try:
+            assert client.checkout(vids[-1])["payload"] == oracle[vids[-1]]
+            backend.get(repo.object_id_of(vids[0]))
+        finally:
+            _stop(server, service)
+        server, service = _start(repo, port)
+        try:
+            assert client.checkout(vids[3])["payload"] == oracle[vids[3]]
+            new_vid = client.commit(["after", "restart"], message="post")
+            assert client.checkout(new_vid)["payload"] == ["after", "restart"]
+            assert backend.get(repo.object_id_of(vids[0])) is not None
+            assert client.retries == 0
+            assert backend.retries == 0
+        finally:
+            _stop(server, service)
+
+    def test_post_failing_after_send_is_not_retried(self, no_sleep):
+        """A POST whose request reached the server but got no answer
+        surfaces as RemoteServiceError after exactly one attempt, while a
+        GET against the same server retries."""
+        import socket
+        import threading
+
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(8)
+        requests: list[bytes] = []
+
+        def swallow() -> None:
+            while True:
+                try:
+                    conn, _ = listener.accept()
+                except OSError:
+                    return
+                with conn:
+                    requests.append(conn.recv(65536))
+
+        thread = threading.Thread(target=swallow, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(
+                "http://127.0.0.1:%d" % listener.getsockname()[1], timeout=5
+            )
+            with pytest.raises(RemoteServiceError) as excinfo:
+                client.commit(["x"], message="once")
+            assert excinfo.value.status is None
+            assert len(requests) == 1
+            assert requests[0].startswith(b"POST /commit ")
+            with pytest.raises(RemoteServiceError):
+                client.checkout("v0")
+            assert len(requests) == 1 + remote._RETRY_ATTEMPTS
+            assert client.retries == remote._RETRY_ATTEMPTS - 1
+        finally:
+            listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept()
+            listener.close()
+            thread.join(timeout=5)
+
+    def test_threads_sharing_a_client_never_share_a_socket(self, monkeypatch):
+        import threading
+
+        repo, oracle = _lineage()
+        vids = list(oracle)
+        server, service = _start(repo)
+        accepted: list[object] = []
+        original_process = type(server).process_request
+
+        def counting_process(self, request, client_address):
+            accepted.append(request)
+            return original_process(self, request, client_address)
+
+        monkeypatch.setattr(type(server), "process_request", counting_process)
+        in_use: set[int] = set()
+        guard = threading.Lock()
+        overlaps: list[int] = []
+        acquire = remote._ConnectionPool.acquire
+        release = remote._ConnectionPool.release
+
+        def tracked_acquire(self, timeout):
+            conn = acquire(self, timeout)
+            with guard:
+                if id(conn) in in_use:
+                    overlaps.append(id(conn))
+                in_use.add(id(conn))
+            return conn
+
+        def tracked_release(self, conn):
+            with guard:
+                in_use.discard(id(conn))
+            return release(self, conn)
+
+        monkeypatch.setattr(remote._ConnectionPool, "acquire", tracked_acquire)
+        monkeypatch.setattr(remote._ConnectionPool, "release", tracked_release)
+        client = ServiceClient(server.url)
+        errors: list[BaseException] = []
+        barrier = threading.Barrier(8)
+
+        def worker(offset: int) -> None:
+            barrier.wait()
+            try:
+                for step in range(20):
+                    vid = vids[(offset + step) % len(vids)]
+                    assert client.checkout(vid)["payload"] == oracle[vid]
+            except BaseException as error:  # pragma: no cover - diagnostic
+                errors.append(error)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # force interleavings inside the pool
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            _stop(server, service)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert not overlaps
+        assert len(accepted) <= 8  # 160 requests rode at most 8 connections

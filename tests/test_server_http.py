@@ -11,8 +11,13 @@ object store) and the remote-aware CLI.
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
+import socketserver
+import statistics
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -22,6 +27,7 @@ from repro.server.httpd import serve_in_thread
 from repro.server.remote import RemoteBackend, RemoteServiceError, ServiceClient
 from repro.server.service import VersionStoreService
 from repro.storage.backends import open_backend
+from repro.storage.batch import BatchMaterializer
 from repro.storage.objects import ObjectStore
 from repro.storage.repository import Repository
 
@@ -430,3 +436,176 @@ class TestRemoteCLI:
         code = main(["checkout", "http://127.0.0.1:9", "v0"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _build_lineage(backend=None, versions: int = 20):
+    """A linear lineage plus the dict oracle of every committed payload."""
+    repo = Repository(cache_size=0, backend=backend)
+    oracle: dict = {}
+    payload = [f"row,{i},{i * 7}" for i in range(40)]
+    for step in range(versions):
+        if step:
+            payload = payload + [f"appended,{step},{step * 11}"]
+        vid = repo.commit(payload, message=f"step {step}")
+        oracle[vid] = list(payload)
+    return repo, oracle
+
+
+def _exchange(conn, path: str) -> tuple[float, bytes]:
+    started = time.perf_counter()
+    conn.request("GET", path)
+    response = conn.getresponse()
+    body = response.read()
+    assert response.status == 200, body
+    return time.perf_counter() - started, body
+
+
+class TestKeepAliveFastPath:
+    """Persistent connections are at least as fast as fresh ones, warm hits
+    do no chain walk, and per-connection server state does not leak."""
+
+    def test_keepalive_p50_not_above_new_connection_p50(self, served_repo):
+        # Paired, in one run, on one server: absolute times vary with the
+        # machine, the ordering does not.  A response split across two
+        # sends stalls a reused connection on Nagle + delayed ACK (~40 ms)
+        # while a fresh connection does not, which inverts this ordering.
+        server, service, repo, vids = served_repo
+        host, port = server.server_address[:2]
+        path = f"/checkout/{vids[-1]}"
+        kept = http.client.HTTPConnection(host, port, timeout=10)
+        _exchange(kept, path)  # warm the cache and the connection
+        keepalive, fresh = [], []
+        for _ in range(40):
+            keepalive.append(_exchange(kept, path)[0])
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            fresh.append(_exchange(conn, path)[0])
+            conn.close()
+        kept.close()
+        assert statistics.median(keepalive) <= statistics.median(fresh), (
+            statistics.median(keepalive),
+            statistics.median(fresh),
+        )
+
+    def test_each_response_is_one_socket_write(self, served_repo, monkeypatch):
+        server, service, repo, vids = served_repo
+        writes: list[int] = []
+        original = socketserver._SocketWriter.write
+
+        def counting_write(self, data):
+            writes.append(len(data))
+            return original(self, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write", counting_write)
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        for path in (f"/checkout/{vids[3]}", "/healthz", "/metrics", "/objects"):
+            before = len(writes)
+            _exchange(conn, path)
+            assert len(writes) == before + 1, path
+        conn.close()
+
+    def test_warm_tip_hit_walks_no_chain(self, monkeypatch):
+        repo, oracle = _build_lineage()
+        vids = list(oracle)
+        service = VersionStoreService(repo, cache_size=64)
+        server, _thread = serve_in_thread(service, host="127.0.0.1", port=0)
+        try:
+            client = ServiceClient(server.url)
+            assert client.checkout(vids[-1])["payload"] == oracle[vids[-1]]
+            walks: list[str] = []
+            for name in ("chain_ids", "subtree_stripe_key"):
+                original = getattr(ObjectStore, name)
+
+                def counted(self, object_id, _name=name, _original=original):
+                    walks.append(_name)
+                    return _original(self, object_id)
+
+                monkeypatch.setattr(ObjectStore, name, counted)
+            for _ in range(5):
+                response = client.checkout(vids[-1])
+                assert response["payload"] == oracle[vids[-1]]
+                assert response["deltas_applied"] == 0
+                assert response["chain_length"] == len(vids) - 1
+            assert walks == []
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
+
+    def test_fast_path_stats_match_the_replay_path(self, monkeypatch):
+        # The same request sequence against two fresh servers: one with
+        # the warm fast path, one forced through the replay path (the
+        # pre-fast-path behavior).  Every /stats counter they share must
+        # agree — a hit is counted once, a miss is never counted twice.
+        sequence = [19, 19, 5, 5, 19, 12, 5, 12, 12, 0, 19, 0]
+
+        def run(force_replay: bool) -> dict:
+            repo, oracle = _build_lineage()
+            vids = list(oracle)
+            service = VersionStoreService(repo, cache_size=64)
+            server, _thread = serve_in_thread(service, host="127.0.0.1", port=0)
+            try:
+                with monkeypatch.context() as patch:
+                    if force_replay:
+                        patch.setattr(
+                            BatchMaterializer, "cached_item", lambda self, oid: None
+                        )
+                    client = ServiceClient(server.url)
+                    for index in sequence:
+                        response = client.checkout(vids[index])
+                        assert response["payload"] == oracle[vids[index]]
+                    stats = client.stats()
+            finally:
+                server.shutdown()
+                server.server_close()
+                service.close()
+            serving = stats["serving"]
+            warm_error = stats["metrics"]["repro_warm_cost_error"]["series"][0]
+            return {
+                "hits": serving["cache"]["hits"],
+                "misses": serving["cache"]["misses"],
+                "checkout_requests": serving["checkout_requests"],
+                "deltas_applied": serving["deltas_applied"],
+                "naive_delta_applications": serving["naive_delta_applications"],
+                "recreation_cost_paid": serving["recreation_cost_paid"],
+                "recreation_cost_predicted": serving["recreation_cost_predicted"],
+                "warm_error_count": warm_error["count"],
+                "warm_error_sum": warm_error["sum"],
+            }
+
+        fast, slow = run(False), run(True)
+        assert fast == slow
+        assert fast["hits"] > 0 and fast["misses"] > 0
+
+    def test_sqlite_connections_do_not_leak_per_http_connection(self, tmp_path):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc to count open file descriptors")
+        repo, oracle = _build_lineage(backend=f"sqlite://{tmp_path}/store.db")
+        vids = list(oracle)
+        service = VersionStoreService(repo, cache_size=64)
+        server, _thread = serve_in_thread(service, host="127.0.0.1", port=0)
+        host, port = server.server_address[:2]
+        try:
+            def open_fds() -> int:
+                return len(os.listdir("/proc/self/fd"))
+
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            _exchange(conn, f"/checkout/{vids[0]}")
+            conn.close()
+            baseline = open_fds()
+            for request in range(300):
+                vid = vids[request % len(vids)]
+                conn = http.client.HTTPConnection(host, port, timeout=10)
+                _elapsed, body = _exchange(conn, f"/checkout/{vid}")
+                conn.close()
+                assert json.loads(body)["payload"] == oracle[vid]
+            # Handler threads finish just after their client hangs up.
+            deadline = time.monotonic() + 5.0
+            while open_fds() > baseline + 8 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert open_fds() <= baseline + 8
+            assert len(repo.catalog._connections) <= 8
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()

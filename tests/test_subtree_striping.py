@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import gc
 import os
+import signal
 import threading
 import time
 
@@ -411,3 +412,59 @@ class TestExecutorLifecycle:
         gc.collect()
         assert not finalizer.alive
         assert not holder
+
+
+# --------------------------------------------------------------------- #
+# broken process pools
+# --------------------------------------------------------------------- #
+class TestBrokenProcessPool:
+    @staticmethod
+    def _kill_workers(service) -> None:
+        executor = service.materializer._executors["process"]
+        for process in list(executor._processes.values()):
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(timeout=10)
+
+    def test_killed_worker_rebuilds_then_demotes_to_threads(self, tmp_path):
+        """SIGKILLing replay workers: the first break rebuilds the pool, a
+        break of the rebuilt pool demotes to threads with a reason code and
+        a decision record — and every checkout stays byte-correct."""
+        repo = Repository(cache_size=0, backend=f"file://{tmp_path}/objects")
+        oracle: dict = {}
+        payload = [f"row,{i},{i * 3}" for i in range(40)]
+        for step in range(8):
+            payload = payload + [f"appended,{step}"]
+            oracle[repo.commit(payload, message=f"s{step}")] = list(payload)
+        vids = list(oracle)
+        service = VersionStoreService(
+            repo, worker_model="process", max_workers=1, cache_size=0
+        )
+        try:
+            assert service.checkout(vids[-1]).payload == oracle[vids[-1]]
+
+            self._kill_workers(service)
+            assert service.checkout(vids[-2]).payload == oracle[vids[-2]]
+            batch = service.checkout_many(vids)
+            assert {vid: batch.items[vid].payload for vid in vids} == oracle
+            assert service.worker_model == "process"
+            assert service.materializer.worker_model_fallback is None
+
+            self._kill_workers(service)
+            assert service.checkout(vids[-3]).payload == oracle[vids[-3]]
+            batch = service.checkout_many(vids)
+            assert {vid: batch.items[vid].payload for vid in vids} == oracle
+            concurrency = service.stats()["concurrency"]
+            assert concurrency["worker_model"] == "thread"
+            assert (
+                concurrency["replay_pool"]["worker_model_fallback"]
+                == "process_pool_broken"
+            )
+            records = [
+                record
+                for record in service.decision_log.tail(20)
+                if record.get("event") == "worker_model_fallback"
+            ]
+            assert len(records) == 1
+            assert records[0]["reason"] == "process_pool_broken"
+        finally:
+            service.close()
